@@ -4,10 +4,11 @@
 //! trusts the Dinic solver's answer. This module removes that trust: every
 //! cut can carry a [`CutCertificate`] — the max-flow witness extracted from
 //! the solver — and [`check_cut_certificate`] re-verifies it from first
-//! principles against an *independently rebuilt* network:
+//! principles against a reference [`StNetwork`] *re-derived from the
+//! instance* (never read back from the solver):
 //!
-//! 1. the witness's edge list matches the re-derived network topology and
-//!    capacities edge by edge;
+//! 1. the witness's edge list matches the reference topology, and its
+//!    capacities match the reference's `energy + λ·delay`, edge by edge;
 //! 2. the flow is feasible: `0 ≤ flow ≤ capacity` on every edge;
 //! 3. flow is conserved at every node except the source and sink;
 //! 4. the claimed partition is exactly the node sides of the witness;
@@ -29,7 +30,7 @@
 use crate::instance::XProInstance;
 use crate::partition::Partition;
 use crate::profile::segment_profile;
-use crate::stgraph::build_network;
+use crate::stgraph::StNetwork;
 use xpro_graph::dinic::{CutWitness, NodeId};
 
 /// Relative tolerance for capacity, conservation, and weight comparisons.
@@ -37,7 +38,7 @@ const TOL_REL: f64 = 1e-6;
 
 /// A max-flow/min-cut witness for one generated partition, with the
 /// bookkeeping needed to re-derive the network it certifies.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CutCertificate {
     /// The solver's flow witness over the λ-priced s-t network.
     pub witness: CutWitness,
@@ -49,6 +50,20 @@ pub struct CutCertificate {
     pub cell_node: Vec<NodeId>,
     /// The Lagrangian delay price the network was built under.
     pub lambda_pj_per_s: f64,
+}
+
+impl CutCertificate {
+    /// The partition the witness's node sides induce: a cell runs
+    /// in-sensor when its node is on the source side.
+    pub fn partition(&self) -> Partition {
+        Partition {
+            in_sensor: self
+                .cell_node
+                .iter()
+                .map(|&node| self.witness.source_side[node])
+                .collect(),
+        }
+    }
 }
 
 /// The invariant a certificate (or plan) check found violated.
@@ -197,7 +212,8 @@ impl std::fmt::Display for CertificateViolation {
 
 impl std::error::Error for CertificateViolation {}
 
-/// Re-verifies a cut certificate against an independently rebuilt network.
+/// Re-verifies a cut certificate against the network re-derived from
+/// `instance` ([`StNetwork::new`]); see [`check_against`].
 ///
 /// # Errors
 ///
@@ -207,7 +223,25 @@ pub fn check_cut_certificate(
     partition: &Partition,
     cert: &CutCertificate,
 ) -> Result<(), CertificateViolation> {
-    let n = instance.num_cells();
+    check_against(&StNetwork::new(instance), partition, cert)
+}
+
+/// Re-verifies a cut certificate against a reference network: the five
+/// invariants of the [module docs](self), with every reference capacity
+/// computed as `energy + λ·delay` from the reference's edge list under the
+/// certificate's `λ`. A caller checking many certificates of one instance
+/// (the generator's λ-sweep) derives the reference once and calls this
+/// directly; [`check_cut_certificate`] derives it from the instance.
+///
+/// # Errors
+///
+/// The first violated invariant, as a [`CertificateViolation`].
+pub fn check_against(
+    reference: &StNetwork,
+    partition: &Partition,
+    cert: &CutCertificate,
+) -> Result<(), CertificateViolation> {
+    let n = reference.cell_node.len();
     if partition.in_sensor.len() != n || cert.cell_node.len() != n {
         return Err(CertificateViolation::StructureMismatch {
             detail: format!(
@@ -218,26 +252,25 @@ pub fn check_cut_certificate(
         });
     }
 
-    // Re-derive the network from the instance and λ; the witness must
-    // describe exactly this network.
-    let st = build_network(instance, cert.lambda_pj_per_s);
-    let reference = st.net.edges();
+    // The witness must describe exactly the reference network priced at
+    // the certificate's λ.
+    let lambda = cert.lambda_pj_per_s;
     let witness = &cert.witness;
-    if cert.source != st.source
-        || cert.sink != st.sink
-        || cert.cell_node != st.cell_node
-        || witness.source_side.len() != st.net.len()
+    if cert.source != reference.source
+        || cert.sink != reference.sink
+        || cert.cell_node != reference.cell_node
+        || witness.source_side.len() != reference.nodes
     {
         return Err(CertificateViolation::StructureMismatch {
             detail: "node bookkeeping disagrees with the rebuilt network".into(),
         });
     }
-    if witness.edges.len() != reference.len() {
+    if witness.edges.len() != reference.edges.len() {
         return Err(CertificateViolation::StructureMismatch {
             detail: format!(
                 "witness has {} edges, rebuilt network {}",
                 witness.edges.len(),
-                reference.len()
+                reference.edges.len()
             ),
         });
     }
@@ -245,16 +278,18 @@ pub fn check_cut_certificate(
     // Tolerances scale with the largest finite capacity (λ-priced weights
     // can be many orders of magnitude above the raw energies).
     let scale = reference
+        .edges
         .iter()
-        .map(|&(_, _, c)| c)
+        .map(|r| r.capacity(lambda))
         .filter(|c| c.is_finite())
         .fold(1.0f64, f64::max);
     let tol = scale * TOL_REL;
 
-    for (i, (e, &(rf, rt, rc))) in witness.edges.iter().zip(&reference).enumerate() {
-        if e.from != rf || e.to != rt {
+    for (i, (e, r)) in witness.edges.iter().zip(&reference.edges).enumerate() {
+        if e.from != r.from || e.to != r.to {
             return Err(CertificateViolation::EdgeMismatch { index: i });
         }
+        let rc = r.capacity(lambda);
         let caps_agree = if rc.is_infinite() {
             e.capacity.is_infinite()
         } else {
@@ -281,7 +316,7 @@ pub fn check_cut_certificate(
     }
 
     // Conservation at every interior node.
-    let mut balance = vec![0.0f64; st.net.len()];
+    let mut balance = vec![0.0f64; reference.nodes];
     for e in &witness.edges {
         balance[e.from] -= e.flow;
         balance[e.to] += e.flow;
@@ -404,8 +439,24 @@ mod tests {
 
     use super::*;
     use crate::partition::evaluate;
-    use crate::stgraph::certified_min_cut_partition;
-    use crate::testutil::tiny_instance;
+    use crate::stgraph::{certified_min_cut_partition, ParametricCut};
+    use crate::testutil::{tiny_instance, tiny_instance_with_radio};
+    use xpro_wireless::TransceiverModel;
+
+    /// Checks a certificate through both entry points — the public one,
+    /// which re-derives the reference from the instance, and the sweep's
+    /// [`check_against`] with the reference its solver was built from —
+    /// and asserts they agree.
+    fn check_both(
+        inst: &XProInstance,
+        p: &Partition,
+        cert: &CutCertificate,
+    ) -> Result<(), CertificateViolation> {
+        let public = check_cut_certificate(inst, p, cert);
+        let in_sweep = check_against(ParametricCut::new(inst).reference(), p, cert);
+        assert_eq!(public, in_sweep);
+        public
+    }
 
     #[test]
     fn generated_cuts_certify_across_lambdas() {
@@ -413,7 +464,7 @@ mod tests {
             let inst = tiny_instance(seed);
             for lambda in [0.0, 1.0e6, 1.0e9, 1.0e12] {
                 let (p, cert) = certified_min_cut_partition(&inst, lambda);
-                check_cut_certificate(&inst, &p, &cert)
+                check_both(&inst, &p, &cert)
                     .unwrap_or_else(|v| panic!("seed {seed} λ {lambda}: {v}"));
             }
         }
@@ -444,7 +495,7 @@ mod tests {
         // Flip one cell to the other end: the witness no longer matches.
         let victim = 0;
         p.in_sensor[victim] = !p.in_sensor[victim];
-        let err = check_cut_certificate(&inst, &p, &cert).unwrap_err();
+        let err = check_both(&inst, &p, &cert).unwrap_err();
         assert_eq!(
             err,
             CertificateViolation::PartitionMismatch { cell: victim }
@@ -463,7 +514,7 @@ mod tests {
             .position(|e| e.capacity.is_finite() && e.capacity > 0.0)
             .unwrap();
         cert.witness.edges[idx].flow = cert.witness.edges[idx].capacity * 2.0 + 1.0;
-        let err = check_cut_certificate(&inst, &p, &cert).unwrap_err();
+        let err = check_both(&inst, &p, &cert).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -489,7 +540,7 @@ mod tests {
             .unwrap();
         assert!(cert.witness.edges[idx].flow > 0.0);
         cert.witness.edges[idx].flow = -cert.witness.edges[idx].flow;
-        let err = check_cut_certificate(&inst, &p, &cert).unwrap_err();
+        let err = check_both(&inst, &p, &cert).unwrap_err();
         assert!(
             matches!(err, CertificateViolation::NegativeFlow { .. }),
             "got {err}"
@@ -508,7 +559,7 @@ mod tests {
             .unwrap();
         cert.witness.edges[idx].capacity *= 0.5;
         cert.witness.edges[idx].flow = 0.0;
-        let err = check_cut_certificate(&inst, &p, &cert).unwrap_err();
+        let err = check_both(&inst, &p, &cert).unwrap_err();
         assert!(
             matches!(err, CertificateViolation::EdgeMismatch { .. }),
             "got {err}"
@@ -520,7 +571,7 @@ mod tests {
         let inst = tiny_instance(5);
         let (p, mut cert) = certified_min_cut_partition(&inst, 0.0);
         cert.witness.value *= 0.5;
-        let err = check_cut_certificate(&inst, &p, &cert).unwrap_err();
+        let err = check_both(&inst, &p, &cert).unwrap_err();
         assert!(
             matches!(err, CertificateViolation::FlowCutMismatch { .. }),
             "got {err}"
@@ -534,7 +585,23 @@ mod tests {
         let inst = tiny_instance(6);
         let (p, mut cert) = certified_min_cut_partition(&inst, 0.0);
         cert.lambda_pj_per_s = 1.0e12;
-        let err = check_cut_certificate(&inst, &p, &cert).unwrap_err();
+        let err = check_both(&inst, &p, &cert).unwrap_err();
+        assert!(
+            matches!(err, CertificateViolation::EdgeMismatch { .. }),
+            "got {err}"
+        );
+    }
+
+    #[test]
+    fn certificate_is_checked_against_the_presented_instance() {
+        // The same graph priced under two radios: a certificate generated
+        // under model 1 must not certify the model-3 pricing, which proves
+        // the reference comes from the instance handed to the checker.
+        let m1 = tiny_instance_with_radio(2, TransceiverModel::model1());
+        let m3 = tiny_instance_with_radio(2, TransceiverModel::model3());
+        let (p, cert) = certified_min_cut_partition(&m1, 0.0);
+        check_both(&m1, &p, &cert).unwrap();
+        let err = check_both(&m3, &p, &cert).unwrap_err();
         assert!(
             matches!(err, CertificateViolation::EdgeMismatch { .. }),
             "got {err}"

@@ -12,18 +12,35 @@
 //!
 //! The unconstrained optimum is a single s-t min-cut. The delay-constrained
 //! variant runs a Lagrangian sweep: min-cuts of `energy + λ·delay` over a
-//! log-spaced λ grid, keeping the cheapest partition whose *measured* delay
-//! meets the bound. The two single-end designs are always candidates, so a
-//! feasible solution always exists — the same guarantee the paper gives.
+//! log-spaced λ grid ([`lambda_grid`]), keeping the cheapest partition
+//! whose *measured* delay meets the bound. The s-t network is built once
+//! per sweep; each λ only rewrites its capacities. The two single-end
+//! designs are always candidates, so a feasible solution always exists —
+//! the same guarantee the paper gives.
 
-use crate::certificate::{check_cut_certificate, verify_plan, CutCertificate};
+use crate::certificate::{check_against, verify_plan, CutCertificate};
 use crate::config::SystemConfig;
 use crate::error::XProError;
 use crate::instance::XProInstance;
 use crate::partition::{evaluate, Evaluation, Partition};
-use crate::stgraph::certified_min_cut_partition;
+use crate::stgraph::{certified_min_cut_partition, ParametricCut};
 use xpro_hw::ModuleKind;
 use xpro_wireless::TransceiverModel;
+
+/// The delay prices of the generator's λ-sweep, in pJ/s: 0, then
+/// `1e5·3^k` up to 1e14. Cell energies sit around 1e4–1e6 pJ and event
+/// delays around 1e-4–1e-3 s, so the interesting λ range brackets 1e7–1e12;
+/// the grid is wider to be safe.
+pub fn lambda_grid() -> impl Iterator<Item = f64> {
+    std::iter::once(0.0).chain(
+        std::iter::successors(Some(1.0e5), |&lambda| Some(lambda * 3.0))
+            .take_while(|&lambda| lambda <= 1.0e14),
+    )
+}
+
+/// A partition competing for the generator's output, with its certificate
+/// when it came from the min-cut solver.
+type Candidate = (Partition, Option<CutCertificate>);
 
 /// The four engine designs compared throughout the paper's §5.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -224,31 +241,43 @@ impl<'a> XProGenerator<'a> {
                 "delay limit must be positive, got {t_limit_s}"
             )));
         }
+        let mut candidates = self.fixed_candidates();
+        // One network and one reference for the whole sweep: each λ only
+        // rewrites capacities, and each cut is certified against the
+        // reference derived from the instance.
+        let mut cut = ParametricCut::new(self.instance);
+        for lambda in lambda_grid() {
+            cut.solve(lambda);
+            let cert = cut.certificate();
+            let p = cert.partition();
+            check_against(cut.reference(), &p, cert)?;
+            if !candidates.iter().any(|(q, _)| *q == p) {
+                candidates.push((p, Some(cert.clone())));
+            }
+        }
+        // The network is done with; free it before costing the candidates.
+        drop(cut);
+        self.pick_winner(candidates, t_limit_s)
+    }
+
+    /// The candidates that need no solver: both single-end designs and the
+    /// trivial cut.
+    fn fixed_candidates(&self) -> Vec<Candidate> {
         let n = self.instance.num_cells();
-        let mut candidates: Vec<(Partition, Option<CutCertificate>)> = vec![
+        vec![
             (Partition::all_aggregator(n), None),
             (Partition::all_sensor(n), None),
             (self.trivial_cut(), None),
-        ];
-        let push_cut = |lambda: f64,
-                        candidates: &mut Vec<(Partition, Option<CutCertificate>)>|
-         -> Result<(), XProError> {
-            let (p, cert) = certified_min_cut_partition(self.instance, lambda);
-            check_cut_certificate(self.instance, &p, &cert)?;
-            if !candidates.iter().any(|(q, _)| *q == p) {
-                candidates.push((p, Some(cert)));
-            }
-            Ok(())
-        };
-        // λ sweep: λ in pJ/s. Cell energies sit around 1e4–1e6 pJ and event
-        // delays around 1e-4–1e-3 s, so the interesting λ range brackets
-        // 1e7–1e12; sweep wider to be safe.
-        push_cut(0.0, &mut candidates)?;
-        let mut lambda = 1.0e5;
-        while lambda <= 1.0e14 {
-            push_cut(lambda, &mut candidates)?;
-            lambda *= 3.0;
-        }
+        ]
+    }
+
+    /// The cheapest numerically valid candidate within the delay limit,
+    /// re-checked end to end by [`verify_plan`].
+    fn pick_winner(
+        &self,
+        candidates: Vec<Candidate>,
+        t_limit_s: f64,
+    ) -> Result<Candidate, XProError> {
         // Tolerate floating-point noise in the measured delay: the
         // single-end designs define the limit, so they must stay feasible.
         let tol = t_limit_s * 1e-9;
@@ -331,7 +360,7 @@ mod tests {
     #![allow(clippy::unwrap_used)] // tests fail loudly by design
 
     use super::*;
-    use crate::testutil::tiny_instance;
+    use crate::testutil::{tiny_instance, tiny_instance_with_radio};
 
     #[test]
     fn engines_have_expected_shapes() {
@@ -489,6 +518,43 @@ mod tests {
         // than hand back a cut that cannot meet the promised delay.
         let err = replan(&inst, inst.config().radio.derated(1e9), limit).unwrap_err();
         assert!(matches!(err, XProError::Partition(_)), "got {err}");
+    }
+
+    #[test]
+    fn sweep_matches_the_per_lambda_rebuild() {
+        // The sweep over one re-priced network must pick the same plan,
+        // with the same certificate, as the sweep that rebuilt the network
+        // for every λ.
+        use crate::certificate::check_cut_certificate;
+        use crate::stgraph::oracle;
+        for seed in 0..8 {
+            for radio in TransceiverModel::paper_models() {
+                let inst = tiny_instance_with_radio(seed, radio);
+                let gen = XProGenerator::new(&inst);
+                let limit = gen.default_delay_limit();
+                let mut candidates = gen.fixed_candidates();
+                for lambda in lambda_grid() {
+                    let (p, cert) = oracle::certified_cut(&inst, lambda);
+                    check_cut_certificate(&inst, &p, &cert).unwrap();
+                    if !candidates.iter().any(|(q, _)| *q == p) {
+                        candidates.push((p, Some(cert)));
+                    }
+                }
+                let want = gen.pick_winner(candidates, limit).unwrap();
+                let got = gen.delay_constrained_cut_certified(limit).unwrap();
+                assert_eq!(got, want, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn lambda_grid_is_zero_then_log_spaced() {
+        let grid: Vec<f64> = lambda_grid().collect();
+        assert_eq!(grid.len(), 20);
+        assert_eq!(grid[0], 0.0);
+        assert_eq!(grid[1], 1.0e5);
+        assert!(grid.windows(2).skip(1).all(|w| w[1] == w[0] * 3.0));
+        assert!(*grid.last().unwrap() <= 1.0e14 && grid.last().unwrap() * 3.0 > 1.0e14);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! randomized `std` hasher, so shard layout is stable across processes.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::certificate::{verify_plan, CutCertificate};
 use crate::error::XProError;
@@ -67,15 +68,36 @@ impl PlanCacheStats {
     }
 }
 
-/// 64-bit FNV-1a over a byte string: fixed, process-independent shard
-/// selection (the `std` hasher is randomized per process).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// 64-bit FNV-1a state: fixed, process-independent hashing (the `std`
+/// hasher is randomized per process). As a [`std::fmt::Write`] sink it
+/// hashes a formatted rendering as it is produced, without buffering it.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// FNV-1a of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = Fnv1a::new();
+    hash.update(bytes);
+    hash.0
 }
 
 /// Sharded, certificate-guarded memoization of
@@ -130,10 +152,11 @@ impl PlanCache {
     /// a digest collision cannot yield an unsound plan.
     #[must_use]
     pub fn key(instance: &XProInstance, t_limit_s: f64) -> String {
-        let rendered = format!("{instance:?}");
+        let mut rendered = Fnv1a::new();
+        write!(rendered, "{instance:?}").expect("hashing never fails");
         format!(
             "{:016x}:{:016x}:{}c{}s",
-            fnv1a(rendered.as_bytes()),
+            rendered.0,
             t_limit_s.to_bits(),
             instance.num_cells(),
             instance.segment_len(),
@@ -455,6 +478,24 @@ mod tests {
         };
         let refused = cache.plan_for_approx(&approx_inst, limit, &strict);
         assert!(matches!(refused, Err(XProError::Config(_))), "{refused:?}");
+    }
+
+    #[test]
+    fn key_is_pinned_for_a_fixed_instance() {
+        // The key digests the instance's debug rendering; streaming it
+        // into the hash must give the same digest as hashing the rendered
+        // string, which is what these values were recorded from.
+        let inst = crate::testutil::tiny_instance(0);
+        assert_eq!(
+            PlanCache::key(&inst, 0.5),
+            "e40ef81ba3edc823:3fe0000000000000:8c82s"
+        );
+        assert_eq!(fnv1a(format!("{inst:?}").as_bytes()), 0xe40e_f81b_a3ed_c823);
+        let inst = crate::testutil::tiny_instance(5);
+        assert_eq!(
+            PlanCache::key(&inst, 1.25e-3),
+            "f351216221ca254f:3f547ae147ae147b:8c132s"
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@ use crate::layout::Domain;
 use std::collections::BTreeMap;
 use xpro_hw::ModuleKind;
 use xpro_signal::stats::FeatureKind;
+use xpro_wireless::TransceiverModel;
 
 /// Builds a small (≤ 10-cell) instance: a handful of time-domain features,
 /// one DWT level with one sub-band feature, two SVM bases and fusion. The
@@ -95,4 +96,14 @@ pub(crate) fn tiny_instance(seed: u64) -> XProInstance {
     };
     let segment_len = 82 + (seed % 3) as usize * 25;
     XProInstance::try_new(built, SystemConfig::default(), segment_len).expect("valid test instance")
+}
+
+/// [`tiny_instance`] priced under `radio` instead of the default radio.
+pub(crate) fn tiny_instance_with_radio(seed: u64, radio: TransceiverModel) -> XProInstance {
+    let base = tiny_instance(seed);
+    let config = SystemConfig {
+        radio,
+        ..base.config().clone()
+    };
+    base.reconfigured(config).expect("valid test instance")
 }

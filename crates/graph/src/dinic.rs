@@ -4,6 +4,18 @@
 //! standard s-t min-cut (paper §3.2.2); this is the solver behind it. Dinic
 //! runs in `O(V²E)` — comfortably polynomial, which is the paper's
 //! complexity claim for the generator.
+//!
+//! A [`FlowNetwork`] keeps its topology and capacities apart from the
+//! residual state of a solve: every solve starts from the stored
+//! capacities, and [`FlowNetwork::set_capacities`] rewrites them in place.
+//! One network therefore serves any number of solves — the generator's
+//! λ-sweep builds its network once and only rescales capacities per λ —
+//! and the solver's scratch buffers (BFS levels, DFS iterators, the queue)
+//! are reused across phases and across solves.
+//!
+//! **Edge order.** [`FlowNetwork::edges`], [`CutWitness::edges`] and
+//! [`FlowNetwork::set_capacities`] all list forward edges grouped by tail
+//! node in ascending id, in insertion order within each tail.
 
 /// Identifier of a node in a [`FlowNetwork`].
 pub type NodeId = usize;
@@ -11,12 +23,20 @@ pub type NodeId = usize;
 /// Capacity value treated as unbounded.
 pub const INF: f64 = f64::INFINITY;
 
+/// Numerical floor: residual capacities at or below this are exhausted.
+const EPS: f64 = 1e-9;
+
+/// One direction of an edge: a forward arc or its paired residual arc.
 #[derive(Clone, Debug)]
-struct Edge {
+struct Arc {
     to: NodeId,
-    cap: f64,
-    /// Index of the reverse edge in `adj[to]`.
+    /// Index of the paired arc in `adj[to]`.
     rev: usize,
+    /// Stored capacity: the edge's capacity on a forward arc, zero on a
+    /// residual arc. A solve never changes it.
+    cap: f64,
+    /// Residual capacity during (and after) the latest solve.
+    res: f64,
     /// Whether this is an original (forward) edge rather than a residual.
     forward: bool,
 }
@@ -37,10 +57,19 @@ struct Edge {
 /// let cut = net.min_cut(s, t);
 /// assert_eq!(cut.capacity, 2.0);
 /// assert!(cut.source_side[a]);
+///
+/// // Re-price the edges (in edge order) and solve the same network again.
+/// net.set_capacities(&[1.0, 2.0]);
+/// assert_eq!(net.max_flow(s, t), 1.0);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FlowNetwork {
-    adj: Vec<Vec<Edge>>,
+    adj: Vec<Vec<Arc>>,
+    edge_count: usize,
+    // Solver scratch, reused across Dinic phases and across solves.
+    level: Vec<usize>,
+    it: Vec<usize>,
+    queue: Vec<NodeId>,
 }
 
 /// Result of a min-cut computation.
@@ -75,13 +104,14 @@ pub struct EdgeFlow {
 /// assignment so an independent checker can re-verify feasibility
 /// (capacity limits, conservation) and the equality without trusting the
 /// solver.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CutWitness {
     /// Value of the flow == weight of the cut.
     pub value: f64,
     /// `source_side[v]` is `true` when `v` is on the source side.
     pub source_side: Vec<bool>,
-    /// Flow assignment on every original edge, in insertion order.
+    /// Flow assignment on every original edge, in edge order (see the
+    /// [module docs](self)).
     pub edges: Vec<EdgeFlow>,
 }
 
@@ -129,22 +159,44 @@ impl FlowNetwork {
         assert!(cap >= 0.0, "capacity must be non-negative and not NaN");
         let rev_from = self.adj[to].len();
         let rev_to = self.adj[from].len();
-        self.adj[from].push(Edge {
+        self.adj[from].push(Arc {
             to,
-            cap,
             rev: rev_from,
+            cap,
+            res: cap,
             forward: true,
         });
-        self.adj[to].push(Edge {
+        self.adj[to].push(Arc {
             to: from,
-            cap: 0.0,
             rev: rev_to,
+            cap: 0.0,
+            res: 0.0,
             forward: false,
         });
+        self.edge_count += 1;
     }
 
-    /// Computes the maximum s→t flow (mutating residual capacities) and
-    /// returns its value.
+    /// Replaces every edge's capacity, in edge order (see the
+    /// [module docs](self)). The topology and the solver's buffers are
+    /// kept, so the next solve runs on the same network with new prices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `caps` does not hold one capacity per edge, or a capacity
+    /// is negative or NaN.
+    pub fn set_capacities(&mut self, caps: &[f64]) {
+        assert_eq!(caps.len(), self.edge_count, "one capacity per edge");
+        let mut caps = caps.iter();
+        for arc in self.adj.iter_mut().flatten().filter(|a| a.forward) {
+            let &cap = caps.next().expect("length checked above");
+            assert!(cap >= 0.0, "capacity must be non-negative and not NaN");
+            arc.cap = cap;
+        }
+    }
+
+    /// Computes the maximum s→t flow from the stored capacities and
+    /// returns its value. The residual state of the solve is kept until
+    /// the next one; the capacities are untouched.
     ///
     /// # Panics
     ///
@@ -155,30 +207,36 @@ impl FlowNetwork {
             "node out of range"
         );
         assert_ne!(s, t, "source equals sink");
+        for arc in self.adj.iter_mut().flatten() {
+            arc.res = arc.cap;
+        }
         let n = self.adj.len();
         let mut flow = 0.0f64;
-        // Numerical floor: capacities below this are considered exhausted.
-        const EPS: f64 = 1e-9;
         loop {
             // BFS level graph.
-            let mut level = vec![usize::MAX; n];
-            level[s] = 0;
-            let mut queue = std::collections::VecDeque::from([s]);
-            while let Some(u) = queue.pop_front() {
+            self.level.clear();
+            self.level.resize(n, usize::MAX);
+            self.level[s] = 0;
+            self.queue.clear();
+            self.queue.push(s);
+            let mut head = 0;
+            while let Some(&u) = self.queue.get(head) {
+                head += 1;
                 for e in &self.adj[u] {
-                    if e.cap > EPS && level[e.to] == usize::MAX {
-                        level[e.to] = level[u] + 1;
-                        queue.push_back(e.to);
+                    if e.res > EPS && self.level[e.to] == usize::MAX {
+                        self.level[e.to] = self.level[u] + 1;
+                        self.queue.push(e.to);
                     }
                 }
             }
-            if level[t] == usize::MAX {
+            if self.level[t] == usize::MAX {
                 break;
             }
             // DFS blocking flow.
-            let mut it = vec![0usize; n];
+            self.it.clear();
+            self.it.resize(n, 0);
             loop {
-                let pushed = self.dfs(s, t, INF, &level, &mut it);
+                let pushed = dfs(&mut self.adj, s, t, INF, &self.level, &mut self.it);
                 if pushed <= EPS {
                     break;
                 }
@@ -194,42 +252,13 @@ impl FlowNetwork {
         flow
     }
 
-    fn dfs(&mut self, u: NodeId, t: NodeId, limit: f64, level: &[usize], it: &mut [usize]) -> f64 {
-        const EPS: f64 = 1e-9;
-        if u == t {
-            return limit;
-        }
-        while it[u] < self.adj[u].len() {
-            let (to, cap, rev) = {
-                let e = &self.adj[u][it[u]];
-                (e.to, e.cap, e.rev)
-            };
-            if cap > EPS && level[to] == level[u] + 1 {
-                let pushed = self.dfs(to, t, limit.min(cap), level, it);
-                if pushed > EPS {
-                    let idx = it[u];
-                    if self.adj[u][idx].cap.is_finite() {
-                        self.adj[u][idx].cap -= pushed;
-                    }
-                    if self.adj[to][rev].cap.is_finite() {
-                        self.adj[to][rev].cap += pushed;
-                    }
-                    return pushed;
-                }
-            }
-            it[u] += 1;
-        }
-        0.0
-    }
-
-    /// Computes the minimum s-t cut. Consumes the residual state, so call on
-    /// a fresh or cloned network.
+    /// Computes the minimum s-t cut.
     ///
     /// # Panics
     ///
     /// Panics if `s == t`, either is out of range, or the min cut is
     /// unbounded (every s→t cut crosses an [`INF`] edge).
-    pub fn min_cut(self, s: NodeId, t: NodeId) -> MinCut {
+    pub fn min_cut(&mut self, s: NodeId, t: NodeId) -> MinCut {
         let witness = self.min_cut_with_witness(s, t);
         MinCut {
             capacity: witness.value,
@@ -238,8 +267,19 @@ impl FlowNetwork {
     }
 
     /// Computes the minimum s-t cut together with the max-flow witness
-    /// that certifies it (see [`CutWitness`]). Consumes the residual
-    /// state, so call on a fresh or cloned network.
+    /// that certifies it (see [`CutWitness`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`FlowNetwork::min_cut_into`].
+    pub fn min_cut_with_witness(&mut self, s: NodeId, t: NodeId) -> CutWitness {
+        let mut witness = CutWitness::default();
+        self.min_cut_into(s, t, &mut witness);
+        witness
+    }
+
+    /// Computes the minimum s-t cut and writes its max-flow witness into
+    /// `out`, reusing `out`'s buffers.
     ///
     /// The flow on each original edge is recovered from its reverse edge's
     /// residual capacity: reverse residuals start at zero, grow by every
@@ -250,36 +290,40 @@ impl FlowNetwork {
     ///
     /// Panics if `s == t`, either is out of range, or the min cut is
     /// unbounded (every s→t cut crosses an [`INF`] edge).
-    pub fn min_cut_with_witness(mut self, s: NodeId, t: NodeId) -> CutWitness {
+    pub fn min_cut_into(&mut self, s: NodeId, t: NodeId, out: &mut CutWitness) {
         let value = self.max_flow(s, t);
         assert!(
             value.is_finite(),
             "min cut is unbounded (infinite-capacity path from source to sink)"
         );
-        const EPS: f64 = 1e-9;
-        let n = self.adj.len();
-        let mut source_side = vec![false; n];
-        source_side[s] = true;
-        let mut queue = std::collections::VecDeque::from([s]);
-        while let Some(u) = queue.pop_front() {
+        out.value = value;
+        let side = &mut out.source_side;
+        side.clear();
+        side.resize(self.adj.len(), false);
+        side[s] = true;
+        self.queue.clear();
+        self.queue.push(s);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
             for e in &self.adj[u] {
-                if e.cap > EPS && !source_side[e.to] {
-                    source_side[e.to] = true;
-                    queue.push_back(e.to);
+                if e.res > EPS && !side[e.to] {
+                    side[e.to] = true;
+                    self.queue.push(e.to);
                 }
             }
         }
-        debug_assert!(!source_side[t], "sink reachable after max flow");
-        let mut edges = Vec::new();
+        debug_assert!(!side[t], "sink reachable after max flow");
+        out.edges.clear();
         for (u, adj) in self.adj.iter().enumerate() {
             for e in adj.iter().filter(|e| e.forward) {
-                let flow = self.adj[e.to][e.rev].cap;
-                let capacity = if e.cap.is_infinite() {
+                let flow = self.adj[e.to][e.rev].res;
+                let capacity = if e.res.is_infinite() {
                     INF
                 } else {
-                    e.cap + flow
+                    e.res + flow
                 };
-                edges.push(EdgeFlow {
+                out.edges.push(EdgeFlow {
                     from: u,
                     to: e.to,
                     capacity,
@@ -287,18 +331,12 @@ impl FlowNetwork {
                 });
             }
         }
-        CutWitness {
-            value,
-            source_side,
-            edges,
-        }
     }
 
-    /// Original forward edges as `(from, to, capacity)` triples, in
-    /// insertion order. Only meaningful on a network whose residual state
-    /// has not been consumed by [`FlowNetwork::max_flow`].
+    /// Original forward edges as `(from, to, capacity)` triples, in edge
+    /// order (see the [module docs](self)).
     pub fn edges(&self) -> Vec<(NodeId, NodeId, f64)> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.edge_count);
         for (u, adj) in self.adj.iter().enumerate() {
             for e in adj.iter().filter(|e| e.forward) {
                 out.push((u, e.to, e.cap));
@@ -320,6 +358,43 @@ impl FlowNetwork {
         }
         total
     }
+}
+
+/// One blocking-flow augmentation: pushes up to `limit` from `u` to `t`
+/// along the level graph, advancing the per-node arc iterators.
+fn dfs(
+    adj: &mut [Vec<Arc>],
+    u: NodeId,
+    t: NodeId,
+    limit: f64,
+    level: &[usize],
+    it: &mut [usize],
+) -> f64 {
+    if u == t {
+        return limit;
+    }
+    while it[u] < adj[u].len() {
+        let (to, res, rev) = {
+            let e = &adj[u][it[u]];
+            (e.to, e.res, e.rev)
+        };
+        if res > EPS && level[to] == level[u] + 1 {
+            let pushed = dfs(adj, to, t, limit.min(res), level, it);
+            if pushed > EPS {
+                let fwd = &mut adj[u][it[u]].res;
+                if fwd.is_finite() {
+                    *fwd -= pushed;
+                }
+                let back = &mut adj[to][rev].res;
+                if back.is_finite() {
+                    *back += pushed;
+                }
+                return pushed;
+            }
+        }
+        it[u] += 1;
+    }
+    0.0
 }
 
 #[cfg(test)]

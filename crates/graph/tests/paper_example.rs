@@ -77,7 +77,7 @@ fn min_cut_is_no_worse_than_either_extreme() {
     // §3.2.2: "The automatically generated XPro guarantees 'not worse'
     // solution than traditional approaches." With the example's numbers the
     // optimum coincides with the in-aggregator extreme (1.2 nJ).
-    let g = build();
+    let mut g = build();
     let cut = g.net.min_cut(g.f, g.b);
     assert!(cut.capacity <= CUT1_AGGREGATOR + 1e-9);
     assert!(cut.capacity <= CUT2_SENSOR + 1e-9);

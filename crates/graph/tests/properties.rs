@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xpro_graph::dinic::FlowNetwork;
+use xpro_graph::dinic::{FlowNetwork, INF};
 
 /// Brute-force minimum cut by enumerating all 2^(n-2) partitions.
 fn brute_force_min_cut(net: &FlowNetwork, s: usize, t: usize) -> f64 {
@@ -73,8 +73,49 @@ proptest! {
     }
 
     #[test]
+    fn reused_network_solves_like_a_fresh_one(seed in 0u64..200, n in 4usize..10, m in 4usize..30) {
+        // One network re-priced with a sequence of random capacity vectors
+        // must solve exactly like a network freshly built with each
+        // vector: stale levels, arc iterators or residuals would show up
+        // as a different flow, cut or witness.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topology: Vec<(usize, usize)> = (0..m)
+            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+            .filter(|(u, v)| u != v)
+            .collect();
+        let mut reused = FlowNetwork::new();
+        reused.add_nodes(n);
+        for &(u, v) in &topology {
+            reused.add_edge(u, v, 1.0);
+        }
+        for round in 0..6 {
+            let mut fresh = FlowNetwork::new();
+            fresh.add_nodes(n);
+            for &(u, v) in &topology {
+                let cap = match rng.gen_range(0..10) {
+                    0 => 0.0,
+                    1 => INF,
+                    _ => rng.gen_range(0.0..10.0),
+                };
+                fresh.add_edge(u, v, cap);
+            }
+            let caps: Vec<f64> = fresh.edges().iter().map(|&(_, _, c)| c).collect();
+            reused.set_capacities(&caps);
+            prop_assert_eq!(reused.edges(), fresh.edges());
+            let flow = fresh.max_flow(0, 1);
+            prop_assert_eq!(reused.max_flow(0, 1).to_bits(), flow.to_bits(), "round {}", round);
+            if flow.is_finite() {
+                let want = fresh.min_cut_with_witness(0, 1);
+                prop_assert_eq!(&reused.min_cut_with_witness(0, 1), &want, "round {}", round);
+                // A second solve of the same prices reproduces the witness.
+                prop_assert_eq!(&reused.min_cut_with_witness(0, 1), &want, "round {}", round);
+            }
+        }
+    }
+
+    #[test]
     fn cut_separates_terminals(seed in 0u64..200) {
-        let net = random_network(7, 15, seed);
+        let mut net = random_network(7, 15, seed);
         let cut = net.min_cut(0, 1);
         prop_assert!(cut.source_side[0]);
         prop_assert!(!cut.source_side[1]);
