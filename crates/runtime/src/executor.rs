@@ -25,16 +25,16 @@
 //!
 //! Nodes interact only through the aggregator, so the fleet shards by
 //! node: [`ExecutorBuilder::shards`] splits it into contiguous ranges,
-//! each simulated by a private event wheel ([`crate::shard`]) advanced on
-//! a scoped-thread pool to the next barrier. Non-adaptive runs need a
-//! single barrier (the aggregator never feeds back into the nodes);
-//! adaptive runs place one barrier per segment period, where the executor
-//! merges shard outputs deterministically — controller observations in
-//! `(time, node, sequence)` order, aggregator jobs served from a pending
-//! queue in `(ready, node, sequence)` order — lets the controller decide,
-//! and broadcasts new plans and shed state to every shard. All cross-node
-//! floating-point sums fold in global node order. The result: reports are
-//! **bit-identical for any shard count, including 1**.
+//! each simulated by per-node event queues ([`crate::shard`]) advanced on
+//! a scoped-thread pool to the next barrier. Every run places one barrier
+//! per segment period, where the executor merges shard outputs
+//! deterministically — controller observations in `(time, node,
+//! sequence)` order, aggregator jobs served from a pending queue in
+//! `(ready, node, sequence)` order — lets the controller and the tenancy
+//! layer decide, and broadcasts new plans and shed state to every shard.
+//! All cross-node floating-point sums fold in global node order. The
+//! result: reports are **bit-identical for any shard count, including
+//! 1**.
 //!
 //! On top of the iid drop model the executor injects lifecycle faults
 //! ([`crate::lifecycle`]): Gilbert–Elliott channel bursts (fleet-global
@@ -76,7 +76,7 @@ use xpro_core::{PlanCacheStats, XProError};
 /// the plan of the epoch it arrived in.
 type SegmentPlan = SegmentProfile;
 
-/// How many shards (independent event wheels) a run splits the fleet into.
+/// How many shards (independent node ranges) a run splits the fleet into.
 ///
 /// The shard count is an *execution* knob: it changes wall-clock time and
 /// memory locality, never the simulation — reports are bit-identical for
@@ -455,14 +455,10 @@ struct AggPhase {
     /// `xpro_analyze::timing`.
     peak_inbox: usize,
     /// Jobs whose wireless phase finished but whose service time has not
-    /// safely passed the last barrier yet, kept sorted ascending. A
-    /// sorted `Vec` fed by [`AggPhase::merge_runs`] beats a binary heap
-    /// here: each shard delivers one sorted run per barrier and a k-way
-    /// merge is linear with sequential memory access, where heap pushes
-    /// from later shards (whose timestamps restart near zero) would each
-    /// sift to the root of a multi-million-entry heap through
-    /// random-access cache misses — a measured 25–40 % swing at 100k
-    /// nodes.
+    /// safely passed the last barrier yet, kept sorted ascending: about
+    /// one period's jobs, O(nodes). Each shard delivers one sorted run
+    /// per barrier and [`AggPhase::merge_runs`] merges them in linear
+    /// time with sequential memory access.
     pending: Vec<AggJobRec>,
     completed: Vec<u64>,
     overflowed: Vec<u64>,
@@ -553,7 +549,6 @@ impl AggPhase {
         cfg: &RuntimeConfig,
         outage: &OutageSchedule,
         tenancy: &mut Option<Tenancy>,
-        metrics: &mut MetricsRegistry,
     ) {
         debug_assert!(self.pending.windows(2).all(|w| w[0] < w[1]));
         let ready = self.pending.partition_point(|j| j.ready_s < horizon_s);
@@ -580,19 +575,16 @@ impl AggPhase {
                     match tn.admit(ti, now) {
                         Admission::Quarantined => {
                             self.quarantined[job.node as usize] += 1;
-                            metrics.inc("quarantine_dropped", 1);
                             continue;
                         }
                         Admission::QuotaRejected => {
                             self.admission_rejected[job.node as usize] += 1;
-                            metrics.inc("admission_rejected", 1);
                             continue;
                         }
                         Admission::Admit => {}
                     }
                     if !tn.inbox_admit(ti) {
                         self.overflowed[job.node as usize] += 1;
-                        metrics.inc("inbox_overflows", 1);
                         continue;
                     }
                     ti
@@ -600,7 +592,6 @@ impl AggPhase {
                 None => {
                     if self.inbox.len() >= cfg.agg_inbox {
                         self.overflowed[job.node as usize] += 1;
-                        metrics.inc("inbox_overflows", 1);
                         continue;
                     }
                     0
@@ -609,9 +600,6 @@ impl AggPhase {
             let plan = &plans[job.epoch as usize];
             let idle = now >= self.cpu_free_s;
             let wake = if idle {
-                if self.batch_len > 0 {
-                    metrics.observe("batch_size", self.batch_len as f64);
-                }
                 self.max_batch = self.max_batch.max(self.batch_len);
                 self.batches += 1;
                 self.batch_len = 1;
@@ -635,8 +623,6 @@ impl AggPhase {
             let latency = done - job.arrival_s;
             self.sketches[job.node as usize].record(latency);
             self.lat_sum[job.node as usize] += latency;
-            metrics.inc("segments_completed", 1);
-            metrics.observe("latency_s", latency);
         }
         self.pending.drain(..ready);
     }
@@ -648,12 +634,12 @@ impl AggPhase {
 /// identical computation, no threads.
 ///
 /// Each shard's job run is sorted here, inside the round, rather than
-/// after the merge: the run is nearly sorted (jobs are emitted in event
-/// order and `ready_s` trails the event clock by at most a segment
-/// makespan), so the per-run sort is cheap for every shard count — where
-/// one big sort of the concatenated runs would be cheapest at one shard
-/// and costliest at two, biasing the scaling — and on a multi-core box
-/// the sorts parallelize with the round.
+/// after the merge: a round spans one segment period, so a run holds
+/// about one job per node (emitted node by node), and sorting it costs
+/// the same per job at every shard count — where one big sort of the
+/// concatenated runs would be cheapest at one shard and costliest at two,
+/// biasing the scaling — and on a multi-core box the sorts parallelize
+/// with the round.
 fn run_round(shards: &mut [ShardSim], target_s: f64) {
     let workers = std::thread::available_parallelism()
         .map_or(1, std::num::NonZeroUsize::get)
@@ -743,18 +729,19 @@ impl FleetExecutor<'_> {
             .record_timesteps
             .then(|| TimestepRecorder::new(cfg.nodes, period_s));
 
-        // Adaptive, multi-tenant and timestep-recording runs barrier
-        // once per segment period (the controller and the tenancy state
-        // machines act at segment boundaries, and the recorder samples
-        // its counter deltas there); plain runs drain in a single round
-        // — the aggregator never feeds back into the nodes. Forcing
-        // barriers for recording never changes the simulation: jobs are
-        // served in the identical merged order either way.
+        // Every run barriers once per segment period, and the round after
+        // the last arrival drains the fleet. The controller and the
+        // tenancy state machines act at segment boundaries and the
+        // recorder samples its counter deltas there; a plain run gains
+        // bounded rounds: each round's job run holds about one job per
+        // node, so it sorts cheaply and the pending queue stays O(nodes).
+        // Barriers never change the simulation: nodes are independent
+        // between barriers, and jobs are served in the identical merged
+        // order however the timeline is cut.
         let mut k = 1u64;
         loop {
             let t_k = period_s * k as f64;
-            let barrier = (controller.is_some() || tenancy.is_some() || recorder.is_some())
-                && t_k < cfg.duration_s;
+            let barrier = t_k < cfg.duration_s;
             let target = if barrier { t_k } else { f64::INFINITY };
             run_round(&mut shards, target);
 
@@ -776,7 +763,7 @@ impl FleetExecutor<'_> {
                 }
             }
             agg.merge_runs(&mut shards);
-            agg.process_ready(target, &plans, cfg, &outage, &mut tenancy, &mut metrics);
+            agg.process_ready(target, &plans, cfg, &outage, &mut tenancy);
             if let Some(rec) = recorder.as_mut() {
                 rec.fold_round(k - 1, &shards, &agg);
             }
@@ -817,9 +804,6 @@ impl FleetExecutor<'_> {
             k += 1;
         }
         agg.max_batch = agg.max_batch.max(agg.batch_len);
-        if agg.batch_len > 0 {
-            metrics.observe("batch_size", agg.batch_len as f64);
-        }
 
         if let Some(tn) = tenancy.as_mut() {
             tn.finish(cfg.duration_s);
@@ -926,6 +910,10 @@ impl FleetExecutor<'_> {
         let mut frame_drops = 0u64;
         let mut retries = 0u64;
         let mut depletions = 0u64;
+        let mut completed = 0u64;
+        let mut inbox_overflows = 0u64;
+        let mut admission_rejected = 0u64;
+        let mut quarantine_dropped = 0u64;
         for sh in shards {
             for (local, core) in sh.cores.iter().enumerate() {
                 let node = sh.first_node as usize + local;
@@ -941,6 +929,10 @@ impl FleetExecutor<'_> {
                 frame_drops += core.frame_drops;
                 retries += core.retries;
                 depletions += u64::from(core.depleted);
+                completed += agg.completed[node];
+                inbox_overflows += agg.overflowed[node];
+                admission_rejected += agg.admission_rejected[node];
+                quarantine_dropped += agg.quarantined[node];
                 let total_pj = core.compute_pj + core.wireless_pj;
                 let avg_power_w = total_pj * 1e-12 / duration;
                 let battery = &sys.sensor_battery;
@@ -969,9 +961,9 @@ impl FleetExecutor<'_> {
                 });
             }
         }
-        // Terminal counters merge by sum; a counter appears only when its
-        // event occurred, matching the incremental accounting of the
-        // unsharded executor.
+        // Terminal counters merge by sum — the aggregator's outcomes too,
+        // recorded once per job in its per-node arrays; a counter appears
+        // only when its event occurred.
         for (name, value) in [
             ("segments_offered", offered),
             ("segments_lost_to_crash", lost_to_crash),
@@ -983,6 +975,10 @@ impl FleetExecutor<'_> {
             ("retries", retries),
             ("battery_depletions", depletions),
             ("crashes", crashes_total),
+            ("segments_completed", completed),
+            ("inbox_overflows", inbox_overflows),
+            ("admission_rejected", admission_rejected),
+            ("quarantine_dropped", quarantine_dropped),
         ] {
             if value > 0 {
                 metrics.inc(name, value);
@@ -1053,12 +1049,6 @@ impl FleetExecutor<'_> {
         // serial CPU's compute spend (merged service order).
         let energy_pj = agg_rx_pj + agg.compute_pj;
         let agg_power_w = energy_pj * 1e-12 / duration;
-        let inbox_overflows = node_reports.iter().map(|n| n.segments_overflowed).sum();
-        let admission_rejected = node_reports
-            .iter()
-            .map(|n| n.segments_admission_rejected)
-            .sum();
-        let quarantine_dropped = node_reports.iter().map(|n| n.segments_quarantined).sum();
         let aggregator = AggregatorReport {
             batches: agg.batches,
             max_batch: agg.max_batch,

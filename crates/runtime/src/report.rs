@@ -238,7 +238,7 @@ pub struct RunReport {
     /// rejected entries (failed re-verification, evicted and
     /// regenerated). All zero when the controller is off.
     pub plan_cache: PlanCacheStats,
-    /// Raw counters/gauges/histograms recorded during the run.
+    /// Raw counters and gauges derived from the run.
     pub metrics: MetricsRegistry,
 }
 

@@ -419,3 +419,95 @@ fn different_seeds_diverge_under_faults() {
     let b = run_sharded(&inst, &partition, &build(2), 1);
     assert_ne!(a, b, "seeds 1 and 2 produced identical faulty runs");
 }
+
+/// FNV-1a over a report's JSON bytes: a compact fingerprint to pin.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The fixed fleets whose report digests are pinned across commits — a
+/// plain lossy fleet, the CI chaos scenario and the CI tenant scenario
+/// (`examples/tenants.json`), all on the test instance — with the FNV-1a
+/// of their report JSON. The digests were recorded before the executor
+/// moved from one shard-wide event heap to per-node queues with a
+/// barrier every period.
+fn pinned_fleets() -> [(&'static str, RuntimeConfig, u64); 3] {
+    let lossy = RuntimeConfig::builder()
+        .nodes(64)
+        .duration_s(2.0)
+        .drop_rate(0.05)
+        .seed(11)
+        .build()
+        .unwrap();
+    let chaos = RuntimeConfig::builder()
+        .nodes(8)
+        .duration_s(30.0)
+        .drop_rate(0.2)
+        .burst_bad_rate(0.95)
+        .burst_p_enter(0.3)
+        .burst_p_exit(0.05)
+        .mtbf_s(30.0)
+        .mttr_s(2.0)
+        .adaptive(true)
+        .min_dwell_s(1.0)
+        .seed(7)
+        .build()
+        .unwrap();
+    let tenants = RuntimeConfig::builder()
+        .nodes(8)
+        .duration_s(30.0)
+        .drop_rate(0.2)
+        .burst_bad_rate(0.95)
+        .burst_p_enter(0.3)
+        .burst_p_exit(0.05)
+        .tenants(vec![
+            TenantSpec::new("health", 4).weight(2).degrade(false),
+            TenantSpec::new("fitness", 2)
+                .quota_hz(6.0)
+                .quota_burst(4)
+                .degrade(true)
+                .breaker_rounds(3)
+                .cooldown_s(2.0),
+            TenantSpec::new("telemetry", 2)
+                .quota_hz(2.0)
+                .quota_burst(2)
+                .degrade(true)
+                .breaker_rounds(2)
+                .cooldown_s(4.0),
+        ])
+        .seed(7)
+        .build()
+        .unwrap();
+    [
+        ("lossy", lossy, 0x5ef0_72d3_b2d7_47d5),
+        ("chaos", chaos, 0x640d_4da3_72ac_47bd),
+        ("tenants", tenants, 0x7319_be27_a276_59bc),
+    ]
+}
+
+/// Shard counts only ever get compared with each other above; this pins
+/// the reports themselves, so any change to what a run simulates — not
+/// only a shard-count divergence — fails here.
+#[test]
+fn report_digests_are_pinned_across_commits() {
+    let inst = tiny_instance(3);
+    let partition = cross_end(&inst);
+    for (name, cfg, pin) in pinned_fleets() {
+        for shards in [1usize, 4] {
+            let report = run_sharded(&inst, &partition, &cfg, shards);
+            // Each fleet exercises what it is pinned for.
+            match name {
+                "lossy" => assert!(report.total_retries() > 0),
+                "chaos" => assert!(!report.partition_switches.is_empty()),
+                _ => assert!(report.tenants.iter().any(|t| t.admission_rejected > 0)),
+            }
+            let digest = fnv1a(report.to_json().as_bytes());
+            assert_eq!(
+                digest, pin,
+                "{name} fleet at {shards} shards: digest {digest:#018x}"
+            );
+        }
+    }
+}

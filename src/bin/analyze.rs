@@ -23,9 +23,11 @@
 //! was given and some cell may overflow, 3 if `--gate` found a verdict
 //! regression against the baseline.
 
+use std::io::Write;
 use std::process::ExitCode;
 use xpro::analyze::gate::findings_for_report;
 use xpro::analyze::{diff_findings, parse_findings, render_findings, Finding, SignalBounds};
+use xpro::cli::Stdout;
 use xpro::core::builder::{build_full_cell_graph, BuildOptions};
 use xpro::core::config::SystemConfig;
 use xpro::core::generator::XProGenerator;
@@ -176,7 +178,7 @@ fn run_table1(args: &Args) -> Result<(bool, Vec<Finding>), XProError> {
     })
 }
 
-fn run(args: &Args) -> Result<(bool, Vec<Finding>), XProError> {
+fn run(args: &Args, out: &mut impl Write) -> Result<(bool, Vec<Finding>), XProError> {
     if args.table1 {
         return run_table1(args);
     }
@@ -189,13 +191,14 @@ fn run(args: &Args) -> Result<(bool, Vec<Finding>), XProError> {
         Some(data) => {
             let (lo, hi) = data.signal_range();
             if !args.json {
-                println!(
+                writeln!(
+                    out,
                     "dataset {} ({}): {} segments of {} samples, range [{lo:.3}, {hi:.3}]",
                     data.symbol,
                     data.name,
                     data.len(),
                     data.segment_len
-                );
+                )?;
             }
             SignalBounds::new(lo, hi)
         }
@@ -240,24 +243,25 @@ fn run(args: &Args) -> Result<(bool, Vec<Finding>), XProError> {
     };
 
     if !args.json {
-        println!("analyzing {label} ({} cells)", built.graph.len());
+        writeln!(out, "analyzing {label} ({} cells)", built.graph.len())?;
     }
     let instance =
         XProInstance::try_with_bounds(built, SystemConfig::default(), segment_len, bounds)?;
     let report = instance.analysis();
     if !args.json {
-        println!("{report}");
+        writeln!(out, "{report}")?;
     }
 
     if args.trained && !args.json {
         let generator = XProGenerator::new(&instance);
         let cut = generator.generate()?;
-        println!(
+        writeln!(
+            out,
             "generator: cross-end cut maps {} of {} cells to the sensor; numerically valid: {}",
             cut.sensor_count(),
             instance.num_cells(),
             generator.numerically_valid(&cut)
-        );
+        )?;
     }
 
     let config = args.case.map_or("default", |c| c.symbol());
@@ -266,35 +270,45 @@ fn run(args: &Args) -> Result<(bool, Vec<Finding>), XProError> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
+    let mut out = Stdout::lock();
+    let result = match parse_args() {
+        Ok(args) => analyze(&args, &mut out),
+        Err(msg) if msg.is_empty() => writeln!(out, "{USAGE}")
+            .map(|()| ExitCode::SUCCESS)
+            .map_err(XProError::from),
         Err(msg) => {
-            if msg.is_empty() {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
             eprintln!("error: {msg}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let (overflow_free, findings) = match run(&args) {
-        Ok(result) => result,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
+    match result {
+        Ok(code) => code,
+        Err(err) => {
+            eprintln!("error: {err}");
+            ExitCode::FAILURE
         }
-    };
+    }
+}
+
+/// Runs the analysis, emits the findings and applies the gates; returns
+/// the exit status.
+fn analyze(args: &Args, out: &mut impl Write) -> Result<ExitCode, XProError> {
+    let (overflow_free, findings) = run(args, out)?;
     let document = render_findings(&findings);
     if args.json {
-        print!("{document}");
+        write!(out, "{document}")?;
     }
     if let Some(path) = &args.write_baseline {
         if let Err(e) = std::fs::write(path, &document) {
             eprintln!("error: cannot write baseline {path:?}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         if !args.json {
-            println!("baseline written to {path} ({} findings)", findings.len());
+            writeln!(
+                out,
+                "baseline written to {path} ({} findings)",
+                findings.len()
+            )?;
         }
     }
     if let Some(path) = &args.gate {
@@ -302,14 +316,14 @@ fn main() -> ExitCode {
             Ok(text) => text,
             Err(e) => {
                 eprintln!("error: cannot read baseline {path:?}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         let baseline = match parse_findings(&text) {
             Ok(baseline) => baseline,
             Err(e) => {
                 eprintln!("error: baseline {path:?}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         let regressions = diff_findings(&baseline, &findings);
@@ -321,18 +335,20 @@ fn main() -> ExitCode {
             for r in &regressions {
                 eprintln!("  {r}");
             }
-            return ExitCode::from(3);
+            return Ok(ExitCode::from(3));
         }
         if !args.json {
-            println!(
+            writeln!(
+                out,
                 "gate: {} findings match baseline {path}, no regressions",
                 findings.len()
-            );
+            )?;
         }
     }
+    out.flush()?;
     if !overflow_free && args.fail_on_overflow {
         eprintln!("error: some cells may overflow (see report above)");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -17,7 +17,9 @@
 //!         --burst-bad-rate 0.9 --burst-p-enter 0.2 --burst-p-exit 0.1 \
 //!         --mtbf-s 30 --mttr-s 2 --adaptive`
 
+use std::io::Write;
 use std::process::ExitCode;
+use xpro::cli::Stdout;
 use xpro::core::generator::Engine;
 use xpro::core::XProError;
 use xpro::data::{generate_case_sized, CaseId};
@@ -418,7 +420,7 @@ fn parse_tenants(src: &str) -> Result<Vec<TenantSpec>, String> {
     Ok(tenants)
 }
 
-fn run(args: &Args) -> Result<(), XProError> {
+fn run(args: &Args, out: &mut impl Write) -> Result<(), XProError> {
     let data = generate_case_sized(args.case, args.segments, 42);
     let cfg = PipelineConfig::builder()
         .subspace(SubspaceConfig {
@@ -473,17 +475,19 @@ fn run(args: &Args) -> Result<(), XProError> {
     let report = handle.report;
 
     if args.json {
-        println!("{}", report.to_json());
+        writeln!(out, "{}", report.to_json())?;
     } else {
-        println!(
+        writeln!(
+            out,
             "case {} / engine {:?}: {} cells, {} on the sensor",
             args.case.symbol(),
             args.engine,
             instance.num_cells(),
             partition.sensor_count()
-        );
-        print!("{}", report.render());
+        )?;
+        write!(out, "{}", report.render())?;
     }
+    out.flush()?;
     Ok(())
 }
 
@@ -534,18 +538,16 @@ fn export_columns(dir: &std::path::Path, handle: &RunHandle) -> Result<(), XProE
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
+    let mut out = Stdout::lock();
+    let result = match parse_args() {
+        Ok(args) => run(&args, &mut out),
+        Err(msg) if msg.is_empty() => writeln!(out, "{USAGE}").map_err(XProError::from),
         Err(msg) => {
-            if msg.is_empty() {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
             eprintln!("error: {msg}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    match run(&args) {
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("error: {err}");

@@ -69,6 +69,7 @@
 //! # }
 //! ```
 
+pub mod cli;
 pub mod sweep;
 
 pub use xpro_analyze as analyze;

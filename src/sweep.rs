@@ -19,6 +19,8 @@
 //! byte-identical documents; `analysis-baseline.json` records them for the
 //! CI gate.
 
+use crate::cli::Stdout;
+use std::io::Write;
 use xpro_analyze::gate::findings_for_report;
 use xpro_analyze::timing::RetryRegime;
 use xpro_analyze::{analyze_approx_budget, approx_finding, ApproxBudget, Finding, SignalBounds};
@@ -44,7 +46,8 @@ pub struct SweepOptions {
     pub segments: usize,
     /// Segment length priced into the deployment (the framework default).
     pub segment_len: usize,
-    /// Print one human-readable progress line per config.
+    /// Print one human-readable progress line per config to stdout
+    /// ([`crate::cli::Stdout`]: a closed pipe silences them).
     pub verbose: bool,
 }
 
@@ -78,14 +81,15 @@ pub fn table1_findings(opts: &SweepOptions) -> Result<(bool, Vec<Finding>), XPro
         let built = build_full_cell_graph(&BuildOptions::default(), opts.bases, opts.sv);
         let report = analyze_graph(&built.graph, bounds, &Default::default());
         if opts.verbose {
-            println!(
+            writeln!(
+                Stdout::lock(),
                 "config {config}: bounds [{:.3}, {:.3}], {} cells, {} may overflow, {} demoted by affine",
                 bounds.lo,
                 bounds.hi,
                 report.cells.len(),
                 report.overflowing().len(),
                 report.demoted().len(),
-            );
+            )?;
         }
         all_proven &= report.is_overflow_free();
         findings.extend(findings_for_report(config, &report));
@@ -104,7 +108,8 @@ pub fn table1_findings(opts: &SweepOptions) -> Result<(bool, Vec<Finding>), XPro
         for regime in [RetryRegime::FaultFree, RetryRegime::WorstCaseRetry] {
             let (timing, energy) = deployment_bounds(&instance, &partition, &run_cfg, regime)?;
             if opts.verbose {
-                println!(
+                writeln!(
+                    Stdout::lock(),
                     "  {} wcrt {}, queue bound {}, peak util {:.3}, epoch energy {:.2e} pJ",
                     regime.tag(),
                     timing
@@ -115,7 +120,7 @@ pub fn table1_findings(opts: &SweepOptions) -> Result<(bool, Vec<Finding>), XPro
                         .map_or("unprovable".to_string(), |q| q.to_string()),
                     timing.peak_utilization(),
                     energy.per_epoch_pj,
-                );
+                )?;
             }
             findings.extend(timing.findings(config));
             findings.push(energy.finding(config));
@@ -139,10 +144,12 @@ pub fn table1_findings(opts: &SweepOptions) -> Result<(bool, Vec<Finding>), XPro
             )
             .map_err(|e| XProError::config(e.to_string()))?;
             if opts.verbose {
-                println!(
+                writeln!(
+                    Stdout::lock(),
                     "  approx@{level}: {} (fused deviation {:.2})",
-                    analysis.verdict, analysis.fused_dev
-                );
+                    analysis.verdict,
+                    analysis.fused_dev
+                )?;
             }
             findings.push(approx_finding(config, slot, level.name(), &analysis));
         }
