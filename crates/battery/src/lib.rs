@@ -25,7 +25,5 @@
 //! ```
 
 pub mod runtime;
-pub mod transient;
 
 pub use runtime::BatteryModel;
-pub use transient::{TransientBattery, TransientConfig};

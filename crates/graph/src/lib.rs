@@ -6,9 +6,7 @@
 //! crate provides the machinery:
 //!
 //! * [`dinic`] — Dinic's max-flow / min-cut on real-valued capacities with
-//!   infinite-capacity ("grouped cells") edges;
-//! * [`dag`] — topological ordering and weighted critical paths, used to
-//!   evaluate the end-to-end delay of a partitioned engine.
+//!   infinite-capacity ("grouped cells") edges.
 //!
 //! # Examples
 //!
@@ -34,8 +32,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod dag;
 pub mod dinic;
 
-pub use dag::{CycleError, WeightedDag};
 pub use dinic::{FlowNetwork, MinCut, NodeId, INF};

@@ -12,7 +12,10 @@
 //! * [`process`] — TSMC process-node energy scaling;
 //! * [`library`] — the analytic energy/delay cost model standing in for the
 //!   paper's Synopsys characterization flow, calibrated to reproduce the
-//!   Figure-4 mode study.
+//!   Figure-4 mode study;
+//! * [`area`] — gate-equivalent silicon area of in-sensor cells;
+//! * [`approx`] — approximation knobs (truncated multiplies, SVM pruning,
+//!   DWT-level skip) and their hardware pricing.
 //!
 //! # Examples
 //!
@@ -41,19 +44,15 @@
 pub mod alu;
 pub mod approx;
 pub mod area;
-pub mod cell_unit;
 pub mod library;
 pub mod module;
-pub mod netlist;
 pub mod ops;
 pub mod process;
 
 pub use alu::AluMode;
 pub use approx::{approx_cell_area_ge, ApproxConfig, MAX_TRUNCATION_BITS};
 pub use area::{cell_area_ge, total_area_ge};
-pub use cell_unit::{CellState, CellUnit};
 pub use library::{CellCost, CellCostModel, SENSOR_CLOCK_HZ};
 pub use module::ModuleKind;
-pub use netlist::emit_cell_verilog;
 pub use ops::{Op, OpCounts};
 pub use process::ProcessNode;

@@ -42,6 +42,9 @@ use xpro_core::XProError;
 const MAGIC: &[u8; 8] = b"XPCOL1\0\0";
 /// Tail magic, last 8 bytes of the file.
 const TAIL: &[u8; 8] = b"XPCFOOT\0";
+/// Smallest footer entry: `name_len`, an empty name, the type tag and
+/// `offset`, `byte_len` and `rows`.
+const MIN_ENTRY_LEN: usize = 8 + 1 + 8 + 8 + 8;
 
 /// One typed column of values.
 #[derive(Clone, Debug, PartialEq)]
@@ -257,7 +260,7 @@ impl ColumnIndex {
             .ok_or_else(|| bad("footer length exceeds file"))?;
         let mut cur = footer_start;
         let mut take = |n: usize| -> Result<&[u8], XProError> {
-            if cur + n > len_at {
+            if n > len_at - cur {
                 return Err(bad("truncated footer"));
             }
             let s = &bytes[cur..cur + n];
@@ -267,7 +270,9 @@ impl ColumnIndex {
         let mut word = [0u8; 8];
         word.copy_from_slice(take(8)?);
         let ncols = u64::from_le_bytes(word) as usize;
-        let mut entries = Vec::with_capacity(ncols);
+        // A corrupt count must not size the allocation: the footer holds
+        // at most `footer_len / MIN_ENTRY_LEN` entries.
+        let mut entries = Vec::with_capacity(ncols.min(footer_len / MIN_ENTRY_LEN));
         for _ in 0..ncols {
             word.copy_from_slice(take(8)?);
             let name_len = u64::from_le_bytes(word) as usize;
@@ -304,15 +309,18 @@ impl ColumnIndex {
     /// the file or the payload is malformed.
     pub fn read_entry(&self, bytes: &[u8], entry: &ColumnEntry) -> Result<ColumnData, XProError> {
         let start = entry.offset as usize;
-        let end = start + entry.byte_len as usize;
-        if end > bytes.len() {
+        let payload = start
+            .checked_add(entry.byte_len as usize)
+            .and_then(|end| bytes.get(start..end));
+        let Some(payload) = payload else {
             return Err(XProError::config(format!(
-                "column {:?} range {start}..{end} exceeds file of {} bytes",
+                "column {:?} range {start}+{} exceeds file of {} bytes",
                 entry.name,
+                entry.byte_len,
                 bytes.len()
             )));
-        }
-        let data = ColumnData::from_payload(entry.type_tag, &bytes[start..end])?;
+        };
+        let data = ColumnData::from_payload(entry.type_tag, payload)?;
         if data.rows() as u64 != entry.rows {
             return Err(XProError::config(format!(
                 "column {:?} decodes to {} rows, footer says {}",
@@ -526,6 +534,24 @@ mod tests {
         let mut truncated = sample_batch().to_bytes();
         truncated.truncate(truncated.len() - 4);
         assert!(ColumnBatch::from_bytes(&truncated).is_err());
+    }
+
+    #[test]
+    fn oversized_footer_fields_are_errors_not_panics() {
+        let mut one = ColumnBatch::new();
+        one.push("x", ColumnData::U64(vec![7, 8]));
+        let bytes = one.to_bytes();
+        // Footer layout of the one column "x": ncols, name_len, name,
+        // type tag, offset, byte_len, rows.
+        let footer = MAGIC.len() + 16;
+        let ncols_at = footer;
+        let name_len_at = footer + 8;
+        let offset_at = name_len_at + 8 + 1 + 1;
+        for at in [ncols_at, name_len_at, offset_at] {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert!(ColumnBatch::from_bytes(&bad).is_err(), "field at {at}");
+        }
     }
 
     #[test]

@@ -172,9 +172,7 @@ impl RuntimeConfig {
     }
 
     /// Validates every field against its documented range. Called by
-    /// [`RuntimeConfigBuilder::build`], and again by
-    /// [`crate::ExecutorBuilder::build`] because builder overrides (seed,
-    /// adaptive) can change which invariants apply.
+    /// [`RuntimeConfigBuilder::build`] and by [`crate::FleetSpec::new`].
     ///
     /// # Errors
     ///

@@ -56,7 +56,6 @@ use crate::config::RuntimeConfig;
 use crate::controller::{Controller, PartitionSwitch, PlanAudit, TierTimes};
 use crate::lifecycle::OutageSchedule;
 use crate::link::LossyLink;
-use crate::metrics::MetricsRegistry;
 use crate::report::{AggregatorReport, LatencyStats, NodeReport, RunReport, TenantReport};
 use crate::shard::{burst_profile, AggJobRec, Obs, ShardSim};
 use crate::sketch::QuantileSketch;
@@ -169,8 +168,7 @@ impl<'a> FleetSpec<'a> {
 }
 
 /// Validating builder of a [`FleetExecutor`]: execution knobs (shard
-/// count) and late configuration overrides (seed, adaptive) on top of a
-/// [`FleetSpec`].
+/// count, timestep recording) on top of a [`FleetSpec`].
 ///
 /// ```
 /// use xpro_runtime::{ExecutorBuilder, FleetSpec, RuntimeConfig, ShardCount};
@@ -182,10 +180,9 @@ impl<'a> FleetSpec<'a> {
 /// # let built = build_full_cell_graph(&BuildOptions::default(), 1, 4);
 /// # let instance = XProInstance::try_new(built, SystemConfig::default(), 128)?;
 /// # let partition = XProGenerator::new(&instance).generate()?;
-/// let cfg = RuntimeConfig::builder().nodes(4).duration_s(0.5).build()?;
+/// let cfg = RuntimeConfig::builder().nodes(4).duration_s(0.5).seed(7).build()?;
 /// let handle = ExecutorBuilder::new(FleetSpec::new(&instance, &partition, cfg)?)
 ///     .shards(ShardCount::Auto)
-///     .seed(7)
 ///     .build()?
 ///     .run();
 /// assert!(handle.report.total_completed() > 0);
@@ -227,33 +224,18 @@ impl<'a> ExecutorBuilder<'a> {
         self
     }
 
-    /// Overrides the fault-injection seed of the spec's configuration.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.spec.config.seed = seed;
-        self
-    }
-
-    /// Overrides whether the adaptive partition controller runs.
-    pub fn adaptive(mut self, adaptive: bool) -> Self {
-        self.spec.config.adaptive = adaptive;
-        self
-    }
-
-    /// Validates the combination and resolves the shard count.
+    /// Resolves the shard count. The spec's configuration was already
+    /// validated by [`FleetSpec::new`].
     ///
     /// # Errors
     ///
-    /// Returns [`XProError::Config`] for a fixed shard count of zero, or
-    /// when an override produced a configuration that no longer validates
-    /// (e.g. [`ExecutorBuilder::adaptive`] enabled over an invalid
-    /// controller setup).
+    /// Returns [`XProError::Config`] for a fixed shard count of zero.
     pub fn build(self) -> Result<FleetExecutor<'a>, XProError> {
         if self.shards == ShardCount::Fixed(0) {
             return Err(XProError::config(
                 "shard count must be at least 1 (or ShardCount::Auto)",
             ));
         }
-        self.spec.config.validate()?;
         let shards = self.shards.resolve(self.spec.config.nodes);
         Ok(FleetExecutor {
             spec: self.spec,
@@ -263,17 +245,12 @@ impl<'a> ExecutorBuilder<'a> {
     }
 }
 
-/// Everything one run produces: the merged report plus direct handles on
-/// its audit and metrics, and the execution detail of how it ran.
+/// Everything one run produces: the merged report plus the execution
+/// detail of how it ran.
 #[derive(Clone, Debug)]
 pub struct RunHandle {
     /// The merged fleet report — shard-count-independent by construction.
     pub report: RunReport,
-    /// The controller's plan-certification audit (a copy of
-    /// `report.plan_audit`).
-    pub audit: PlanAudit,
-    /// The run's metric registry (a copy of `report.metrics`).
-    pub metrics: MetricsRegistry,
     /// Shard count the run actually used (resolved from
     /// [`ShardCount::Auto`]). An execution detail: deliberately *not*
     /// part of [`RunReport`], which must not depend on it.
@@ -721,7 +698,6 @@ impl FleetExecutor<'_> {
         let mut controller = cfg
             .adaptive
             .then(|| Controller::new(instance, self.spec.partition, cfg));
-        let mut metrics = MetricsRegistry::new();
         let outage = OutageSchedule::new(cfg.agg_outage_period_s, cfg.agg_outage_s);
         let mut agg = AggPhase::new(cfg.nodes);
 
@@ -775,7 +751,6 @@ impl FleetExecutor<'_> {
                 if let Some(p) = ctl.maybe_replan(t_k, instance) {
                     let plan = Arc::new(segment_profile(instance, &p));
                     plans.push(Arc::clone(&plan));
-                    metrics.inc("partition_switches", 1);
                     for sh in &mut shards {
                         sh.install_plan(Arc::clone(&plan));
                     }
@@ -790,7 +765,6 @@ impl FleetExecutor<'_> {
                 // tenant order; a policy change re-broadcasts every
                 // node's (degraded, shed) pair to its shard.
                 if tn.barrier_round(t_k) {
-                    metrics.inc("tenant_policy_changes", 1);
                     for sh in &mut shards {
                         for local in 0..sh.cores.len() {
                             let node = sh.first_node + local as u32;
@@ -820,30 +794,12 @@ impl FleetExecutor<'_> {
                 PlanCacheStats::default(),
             ),
         };
-        if plan_audit.certified > 0 {
-            metrics.inc("plans_certified", plan_audit.certified);
-        }
-        if plan_audit.rejected > 0 {
-            metrics.inc("plans_rejected", plan_audit.rejected);
-        }
-        if plan_cache.hits > 0 {
-            metrics.inc("plan_cache_hits", plan_cache.hits);
-        }
-        if plan_cache.misses > 0 {
-            metrics.inc("plan_cache_misses", plan_cache.misses);
-        }
-        if plan_cache.rejected > 0 {
-            metrics.inc("plan_cache_rejected", plan_cache.rejected);
-        }
-
         let telemetry_bytes: u64 = agg.sketches.iter().map(|s| s.mem_bytes() as u64).sum();
         let timesteps = recorder.map(TimestepRecorder::into_batch);
         let report = self.digest(
-            &shards, &outage, metrics, agg, tenancy, switches, tier_times, plan_audit, plan_cache,
+            &shards, &outage, agg, tenancy, switches, tier_times, plan_audit, plan_cache,
         );
         RunHandle {
-            audit: report.plan_audit,
-            metrics: report.metrics.clone(),
             report,
             shards: self.shards,
             timesteps,
@@ -856,7 +812,6 @@ impl FleetExecutor<'_> {
         &self,
         shards: &[ShardSim],
         outage: &OutageSchedule,
-        mut metrics: MetricsRegistry,
         agg: AggPhase,
         tenancy: Option<Tenancy>,
         switches: Vec<PartitionSwitch>,
@@ -900,17 +855,6 @@ impl FleetExecutor<'_> {
         let mut node_reports: Vec<NodeReport> = Vec::with_capacity(cfg.nodes);
         let mut channel_busy_s = 0.0;
         let mut agg_rx_pj = 0.0;
-        let mut crashes_total = 0u64;
-        let mut offered = 0u64;
-        let mut lost_to_crash = 0u64;
-        let mut shed = 0u64;
-        let mut timed_out = 0u64;
-        let mut dropped = 0u64;
-        let mut frame_attempts = 0u64;
-        let mut frame_drops = 0u64;
-        let mut retries = 0u64;
-        let mut depletions = 0u64;
-        let mut completed = 0u64;
         let mut inbox_overflows = 0u64;
         let mut admission_rejected = 0u64;
         let mut quarantine_dropped = 0u64;
@@ -919,17 +863,6 @@ impl FleetExecutor<'_> {
                 let node = sh.first_node as usize + local;
                 channel_busy_s += sh.links[local].busy_s();
                 agg_rx_pj += core.agg_rx_pj;
-                crashes_total += sh.lives[local].crashes();
-                offered += core.offered;
-                lost_to_crash += core.lost_to_crash;
-                shed += core.shed;
-                timed_out += core.timed_out;
-                dropped += core.dropped;
-                frame_attempts += core.frame_attempts;
-                frame_drops += core.frame_drops;
-                retries += core.retries;
-                depletions += u64::from(core.depleted);
-                completed += agg.completed[node];
                 inbox_overflows += agg.overflowed[node];
                 admission_rejected += agg.admission_rejected[node];
                 quarantine_dropped += agg.quarantined[node];
@@ -961,30 +894,6 @@ impl FleetExecutor<'_> {
                 });
             }
         }
-        // Terminal counters merge by sum — the aggregator's outcomes too,
-        // recorded once per job in its per-node arrays; a counter appears
-        // only when its event occurred.
-        for (name, value) in [
-            ("segments_offered", offered),
-            ("segments_lost_to_crash", lost_to_crash),
-            ("segments_shed", shed),
-            ("segments_timed_out", timed_out),
-            ("segments_dropped", dropped),
-            ("frame_attempts", frame_attempts),
-            ("frame_drops", frame_drops),
-            ("retries", retries),
-            ("battery_depletions", depletions),
-            ("crashes", crashes_total),
-            ("segments_completed", completed),
-            ("inbox_overflows", inbox_overflows),
-            ("admission_rejected", admission_rejected),
-            ("quarantine_dropped", quarantine_dropped),
-        ] {
-            if value > 0 {
-                metrics.inc(name, value);
-            }
-        }
-
         // Per-tenant digests: node-order folds over the tenant's range
         // plus the admission layer's own counters and tier history.
         let mut tenants: Vec<TenantReport> = Vec::new();
@@ -995,22 +904,6 @@ impl FleetExecutor<'_> {
                 let t_offered: u64 = range.iter().map(|n| n.segments_offered).sum();
                 let t_completed: u64 = range.iter().map(|n| n.segments_completed).sum();
                 let latency = tenant_latency[i];
-                // Metric keys were interned once at executor
-                // construction (`Tenancy::new`); no `format!` here.
-                let keys = &tn.metric_keys[i];
-                for (name, value) in [
-                    (&keys.admitted, st.admitted),
-                    (&keys.admission_rejected, st.admission_rejected),
-                    (&keys.inbox_overflow, st.inbox_overflow),
-                    (&keys.quarantine_dropped, st.quarantine_dropped),
-                    (&keys.quarantines, st.quarantines),
-                ] {
-                    if value > 0 {
-                        metrics.inc(name, value);
-                    }
-                }
-                metrics.set_gauge(&keys.p99_s, latency.p99_s);
-                metrics.set_gauge(&keys.peak_inbox, st.peak_occupancy as f64);
                 tenants.push(TenantReport {
                     name: spec.name.clone(),
                     first_node: first,
@@ -1040,10 +933,6 @@ impl FleetExecutor<'_> {
         // the chain over the run window instead of asking any one link.
         let channel_bad_s =
             burst_profile(cfg).map_or(0.0, |p| LossyLink::weather_bad_s(p, cfg.seed, duration));
-        metrics.set_gauge("channel_utilization", channel_utilization);
-        metrics.set_gauge("aggregator_utilization", agg.cpu_busy_s / duration);
-        metrics.set_gauge("peak_inbox", agg.peak_inbox as f64);
-        metrics.set_gauge("channel_bad_s", channel_bad_s);
 
         // Aggregator energy: per-node receive folds (node order) plus the
         // serial CPU's compute spend (merged service order).
@@ -1076,7 +965,6 @@ impl FleetExecutor<'_> {
             tier_times,
             plan_audit,
             plan_cache,
-            metrics,
         }
     }
 }
@@ -1142,44 +1030,30 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_zero_shards_and_bad_overrides() {
+    fn builder_rejects_zero_shards() {
         let inst = tiny_instance(0);
         let p = cross_end(&inst);
         let spec = FleetSpec::new(&inst, &p, RuntimeConfig::default()).unwrap();
-        let err = ExecutorBuilder::new(spec.clone()).shards(0).build();
-        assert!(matches!(err, Err(XProError::Config(_))));
-        // An override can invalidate a previously valid spec: adaptive
-        // turned on over a zeroed estimator window.
-        let cfg = RuntimeConfig {
-            adaptive_window: 0,
-            ..RuntimeConfig::default()
-        };
-        let spec = FleetSpec::new(&inst, &p, cfg).unwrap();
-        let err = ExecutorBuilder::new(spec).adaptive(true).build();
+        let err = ExecutorBuilder::new(spec).shards(0).build();
         assert!(matches!(err, Err(XProError::Config(_))));
     }
 
     #[test]
-    fn builder_overrides_apply_and_shards_resolve() {
+    fn builder_caps_shards_at_the_fleet_size() {
         let inst = tiny_instance(0);
         let p = cross_end(&inst);
         let cfg = RuntimeConfig::builder()
             .nodes(3)
             .duration_s(0.5)
+            .seed(5)
             .build()
             .unwrap();
         let handle = ExecutorBuilder::new(FleetSpec::new(&inst, &p, cfg).unwrap())
-            .shards(8) // capped at the fleet size
-            .seed(5)
+            .shards(8)
             .build()
             .unwrap()
             .run();
         assert_eq!(handle.shards, 3);
-        assert_eq!(handle.audit, handle.report.plan_audit);
-        assert_eq!(
-            handle.metrics.counter("segments_completed"),
-            handle.report.total_completed()
-        );
     }
 
     #[test]
@@ -1499,10 +1373,6 @@ mod tests {
             assert!(n.battery_drawdown >= 0.0);
             assert!(n.latency.p50_s <= n.latency.p99_s + 1e-12);
         }
-        assert_eq!(
-            report.metrics.counter("segments_completed"),
-            report.total_completed()
-        );
         assert!(report.channel_utilization >= 0.0);
         assert!(report.partition_switches.is_empty());
         assert_eq!(report.tier_times.normal_s, 2.0);
@@ -1533,7 +1403,6 @@ mod tests {
             "fleet must still make progress"
         );
         assert_accounted(&report);
-        assert_eq!(report.metrics.counter("crashes"), crashes);
     }
 
     #[test]
@@ -1560,7 +1429,6 @@ mod tests {
             "spend stops near the budget"
         );
         assert_accounted(&report);
-        assert_eq!(report.metrics.counter("battery_depletions"), 1);
     }
 
     #[test]
@@ -1619,17 +1487,9 @@ mod tests {
             "tier times must partition the run"
         );
         assert_accounted(&report);
-        assert_eq!(
-            report.metrics.counter("partition_switches"),
-            report.partition_switches.len() as u64
-        );
         // Every committed Normal-tier epoch went through the certificate
         // gate; honest generator cuts are never rejected.
         assert_eq!(report.plan_audit.rejected, 0);
-        assert_eq!(
-            report.metrics.counter("plans_certified"),
-            report.plan_audit.certified
-        );
         assert!(
             report.to_json().contains("\"plan_audit\":{\"certified\":"),
             "the audit must surface in the JSON report"

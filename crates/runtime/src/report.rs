@@ -1,9 +1,7 @@
 //! Structured results of a streaming run: per-node statistics, aggregator
-//! and channel utilization, fault/adaptation logs, and the raw metrics
-//! registry.
+//! and channel utilization, and fault/adaptation logs.
 
 use crate::controller::{PartitionSwitch, PlanAudit, TierTimes};
-use crate::metrics::MetricsRegistry;
 use crate::sketch::QuantileSketch;
 use std::fmt::Write as _;
 use xpro_core::PlanCacheStats;
@@ -238,8 +236,6 @@ pub struct RunReport {
     /// rejected entries (failed re-verification, evicted and
     /// regenerated). All zero when the controller is off.
     pub plan_cache: PlanCacheStats,
-    /// Raw counters and gauges derived from the run.
-    pub metrics: MetricsRegistry,
 }
 
 impl RunReport {
@@ -259,19 +255,10 @@ impl RunReport {
         self.nodes.iter().map(|n| n.retries).sum()
     }
 
-    /// Fleet-wide latency over every completed segment: the digest of
-    /// the merged per-node sketches. (Before the sketch existed this was
-    /// approximated from the coarse `latency_s` metrics histogram, with
-    /// up to ~9 % quantile error; the mergeable sketch pins it to
-    /// [`QuantileSketch::REL_ERROR`].)
-    pub fn fleet_latency(&self) -> LatencyStats {
-        self.fleet
-    }
-
     /// Human-readable multi-line summary.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let fleet = self.fleet_latency();
+        let fleet = &self.fleet;
         let _ = writeln!(
             out,
             "fleet: {} nodes, {:.1} s simulated — {} segments completed, {} lost, {} retries",
@@ -423,7 +410,6 @@ impl RunReport {
                 "null".to_string()
             }
         }
-        let fleet = self.fleet_latency();
         let latency_json = |l: &LatencyStats| -> String {
             format!(
                 "{{\"count\":{},\"mean_s\":{},\"p50_s\":{},\"p95_s\":{},\"p99_s\":{},\"max_s\":{}}}",
@@ -537,7 +523,7 @@ impl RunReport {
             self.total_completed(),
             self.total_lost(),
             self.total_retries(),
-            latency_json(&fleet),
+            latency_json(&self.fleet),
             num(self.channel_utilization),
             num(self.channel_bad_s),
             switches.join(","),

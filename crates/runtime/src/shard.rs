@@ -1,9 +1,9 @@
 //! Per-shard discrete-event simulation of a contiguous node range.
 //!
 //! The fleet executor splits its nodes into contiguous ranges; each range
-//! is one [`ShardSim`] owning the per-node event queues, per-node state,
+//! is one `ShardSim` owning the per-node event queues, per-node state,
 //! radios and crash schedules of its nodes. Shards advance
-//! independently to a common virtual-time barrier ([`ShardSim::run_until`])
+//! independently to a common virtual-time barrier (`ShardSim::run_until`)
 //! and never touch shared state — everything a round produces for the rest
 //! of the system (aggregator jobs, controller observations) accumulates in
 //! shard-local buffers the executor drains and merges deterministically at
@@ -24,8 +24,8 @@
 //!
 //! The second property is what the event queues exploit: instead of one
 //! shard-wide heap ordering every event by `(time, node, nseq)`,
-//! [`ShardSim::run_until`] walks its nodes in order and drains each node's
-//! own tiny queue ([`NodeQueues`]) to the barrier in `(time, nseq)` order —
+//! `ShardSim::run_until` walks its nodes in order and drains each node's
+//! own tiny queue (`NodeQueues`) to the barrier in `(time, nseq)` order —
 //! the global order restricted to one node, so every per-node RNG draw,
 //! lifecycle query and sequence number happens exactly as under the heap.
 //! Only the emission order of `jobs` and `obs` differs, and both are

@@ -347,7 +347,7 @@ proptest! {
         let baseline = run_sharded(&inst, &partition, &cfg, 1);
         for shards in [2usize, 4, 8] {
             let sharded = run_sharded(&inst, &partition, &cfg, shards);
-            let (a, b) = (baseline.fleet_latency(), sharded.fleet_latency());
+            let (a, b) = (baseline.fleet, sharded.fleet);
             prop_assert_eq!(a.count, b.count);
             for (x, y) in [
                 (a.mean_s, b.mean_s),

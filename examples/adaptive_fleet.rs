@@ -45,11 +45,11 @@ fn main() -> Result<(), XProError> {
             .burst_slot_s(0.5)
             .max_retries(6)
             .seed(41)
+            .adaptive(adaptive)
             .adaptive_window(32)
             .min_dwell_s(0.3)
             .build()?;
         let report = ExecutorBuilder::new(FleetSpec::new(&instance, &partition, run_cfg)?)
-            .adaptive(adaptive)
             .build()?
             .run()
             .report;
@@ -67,7 +67,7 @@ fn main() -> Result<(), XProError> {
         // Fleet-wide latency from the merged per-node quantile sketches:
         // count and max are exact, percentiles carry the sketch's 0.39 %
         // worst-case relative error.
-        let fleet = report.fleet_latency();
+        let fleet = &report.fleet;
         println!(
             "  latency over {} segments: p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms, max {:.3} ms",
             fleet.count,

@@ -52,7 +52,7 @@ fn main() -> Result<(), XProError> {
             .build()?
             .run();
         let report = &handle.report;
-        let fleet = report.fleet_latency();
+        let fleet = &report.fleet;
         println!(
             "drop rate {:>4.0} % — {} completed, {} lost, {} retries, p99 {:.3} ms",
             drop_rate * 100.0,

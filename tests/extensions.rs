@@ -1,7 +1,7 @@
 //! Integration tests for the §5.7 extensions and auxiliary substrates
 //! through the facade crate: multi-classification, multi-node BSNs, the
-//! heuristic baselines, area estimation, link non-idealities and the
-//! transient battery model all composing with the core engine.
+//! heuristic baselines, area estimation and link non-idealities all
+//! composing with the core engine.
 
 use xpro::core::builder::BuildOptions;
 use xpro::core::config::SystemConfig;
@@ -116,43 +116,4 @@ fn noisy_link_raises_but_does_not_reorder_costs() {
     let feature_bits = 36 * 32;
     assert!(noisy.tx_payload_pj(raw_bits) > clean.tx_payload_pj(raw_bits));
     assert!(noisy.tx_payload_pj(feature_bits) < noisy.tx_payload_pj(raw_bits) / 2.0);
-}
-
-#[test]
-fn transient_battery_survives_cross_end_duty_cycle() {
-    use xpro::battery::{TransientBattery, TransientConfig};
-    // A cross-end event draws a ~3 µJ burst; at 3.7 V that's a sub-ms
-    // ~5 mA pulse every ~60 ms. Terminal voltage must stay above cutoff
-    // through a long burst train on a fresh cell.
-    let mut cell = TransientBattery::new(TransientConfig::sensor_40mah());
-    for _ in 0..1000 {
-        cell.step(0.005, 0.5e-3); // burst
-        cell.step(0.0, 60e-3); // sleep
-    }
-    assert!(
-        cell.terminal_v(0.005) > 3.5,
-        "sagged to {}",
-        cell.terminal_v(0.005)
-    );
-    assert!(cell.soc() > 0.99);
-}
-
-#[test]
-fn cell_unit_state_machine_matches_instance_costs() {
-    use xpro::hw::{CellState, CellUnit};
-    let inst = binary_instance(CaseId::C2, 5);
-    // Drive the Fig.-3 state machine of the first cell through one event.
-    let cost = inst.sensor_cost(0);
-    let inputs = inst.built().graph.cells()[0].inputs.len();
-    let mut unit = CellUnit::new(inputs, cost);
-    for i in 0..inputs {
-        unit.offer_input(i);
-    }
-    assert!(matches!(unit.state(), CellState::Working { .. }));
-    let mut cycles = 0u64;
-    while !unit.tick() {
-        cycles += 1;
-    }
-    assert_eq!(cycles + 1, cost.cycles);
-    assert_eq!(unit.energy_pj(), cost.energy_pj);
 }
